@@ -93,5 +93,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaEpoch$$' -fuzztime 10s ./internal/catalog
 	$(GO) test -run '^$$' -fuzz '^FuzzSkylineDelta$$' -fuzztime 10s ./internal/skyline
 	$(GO) test -run '^$$' -fuzz '^FuzzPartitionDelta$$' -fuzztime 10s ./internal/partition
-	$(GO) test -run '^TestCacheRetentionBitIdentical$$|^TestCacheRevivalAfterRacingPut$$' -count=1 ./internal/core
+	$(GO) test -race -run '^TestSwapRaceCacheHitsMatchFresh$$' -count=1 ./internal/core
 	$(GO) test -race -run '^TestPartition' -count=1 ./internal/search

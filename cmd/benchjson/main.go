@@ -62,12 +62,6 @@ type Comparison struct {
 	AfterSearches    float64 `json:"after_searches_per_op,omitempty"`
 	AfterHitsPerOp   float64 `json:"after_hits_per_op,omitempty"`
 	DedupRatio       float64 `json:"dedup_ratio,omitempty"`
-	// Retained/Revived are the churn benchmark's cache-survival counters:
-	// entries Reconcile carried across epoch swaps per op, and the subset
-	// proven forward from a racing old-epoch Put. Zero means every swap
-	// still wipes the cache.
-	AfterRetained float64 `json:"after_retained_per_op,omitempty"`
-	AfterRevived  float64 `json:"after_revived_per_op,omitempty"`
 }
 
 // Report is the file layout.
@@ -165,8 +159,6 @@ func compare(benches []Benchmark) []Comparison {
 			c.AfterSearches = after.Metrics["searches/op"]
 			c.AfterHitsPerOp = after.Metrics["hits/op"]
 			c.DedupRatio = after.Metrics["dedup"]
-			c.AfterRetained = after.Metrics["retained/op"]
-			c.AfterRevived = after.Metrics["revived/op"]
 			out = append(out, c)
 		}
 	}

@@ -348,10 +348,10 @@ func (c *Catalog) Profile() *feature.Profile { return c.profile }
 func (c *Catalog) MaxPackageSize() int { return c.maxSize }
 
 // ChangeSet describes what an installed epoch changed relative to the
-// parent it was delta-built from, precisely enough for subscribers to
-// reconcile epoch-keyed derived state (result caches) instead of dropping
-// it wholesale. A full rebuild carries no per-item attribution: Full is set
-// and every other field must be ignored.
+// parent it was delta-built from, precisely enough to carry dense-keyed
+// derived state (dominance heads, the sketch-refine partition) forward
+// instead of rebuilding it. A full rebuild carries no per-item
+// attribution: Full is set and every other field must be ignored.
 type ChangeSet struct {
 	// Parent is the ID of the epoch the set is relative to. Derived state
 	// keyed to any other epoch must be dropped regardless of the fields
@@ -366,26 +366,12 @@ type ChangeSet struct {
 	// Fresh holds the new-dense ids of items inserted or re-priced by the
 	// batch (the new identity of every replaced item), ascending.
 	Fresh []int32
-	// Touched lists the profile dimensions whose normalizer scale bits or
-	// null-set membership differ between the parent and the new space:
-	// utilities weighting them are not comparable across the swap.
-	Touched []int
 	// Remap translates parent-dense ids to new-dense ids (-1 for items not
 	// carried over); nil when the assignment is unchanged. Subscribers
 	// carrying dense-keyed state across the swap must renumber through it,
 	// or the next swap's Dirty/Fresh ids would be compared against a stale
 	// id space. Order-preserving over carried items.
 	Remap []int32
-	// OldSpace is the parent epoch's feature space, for old-value lookups
-	// against Dirty ids.
-	OldSpace *feature.Space
-	// Partition describes what happened to the sketch-refine partition
-	// across the swap: nil when the parent had none materialized (or the
-	// swap is Full), Recluster when it was rebuilt from scratch, otherwise
-	// the incremental delta (Touched/Changed cluster ids). Caches keyed on
-	// opened clusters must drop entries whose clusters were touched — or
-	// all partition-dependent entries when Partition is nil or Recluster.
-	Partition *partition.Delta
 }
 
 // Subscribe registers fn to run after every epoch swap, with the epoch
@@ -755,9 +741,10 @@ func buildEpochFrom(parent *Epoch, muts []deltaMut, maxSize int) (*Epoch, *Chang
 		// no swap, no cache invalidation — while still marking the target
 		// version covered. The empty ChangeSet matters only if a racing
 		// build forces this shell to install under a fresh ID: content is
-		// still bit-identical to the parent, so subscribers may re-key.
+		// still bit-identical to the parent, so heads and partition carry
+		// over unchanged.
 		return &Epoch{Space: parent.Space, Index: parent.Index, ids: pm},
-			&ChangeSet{Parent: parent.ID, OldSpace: parent.Space}, nil
+			&ChangeSet{Parent: parent.ID}, nil
 	}
 	// Merge the parent's stable-ordered dense items with the mutation set,
 	// assigning new dense IDs and recording the translation the index
@@ -814,27 +801,7 @@ func buildEpochFrom(parent *Epoch, muts []deltaMut, maxSize int) (*Epoch, *Chang
 			ids.dense[s] = i
 		}
 	}
-	// Dimensions whose normalizer scale bits or null-set membership moved:
-	// cached utilities weighting them are stale even for untouched items.
-	var touchedDims []int
-	for d := 0; d < space.Dims(); d++ {
-		e := space.Profile.Entry(d)
-		if e.Agg == feature.AggNull {
-			continue
-		}
-		if math.Float64bits(space.Norm.Scale(d)) != math.Float64bits(parent.Space.Norm.Scale(d)) ||
-			space.HasNull(e.Feature) != parent.Space.HasNull(e.Feature) {
-			touchedDims = append(touchedDims, d)
-		}
-	}
-	cs := &ChangeSet{
-		Parent:   parent.ID,
-		Dirty:    dirty,
-		Fresh:    added,
-		Touched:  touchedDims,
-		Remap:    remap,
-		OldSpace: parent.Space,
-	}
+	cs := &ChangeSet{Parent: parent.ID, Dirty: dirty, Fresh: added, Remap: remap}
 	return &Epoch{Space: space, Index: search.NewIndexFrom(parent.Index, space, remap, added), ids: ids}, cs, nil
 }
 
@@ -870,7 +837,7 @@ func maintainHeads(parent, ep *Epoch, cs *ChangeSet) (inc, rec bool) {
 // cluster bounds. A re-cluster from scratch runs when incremental
 // maintenance refuses (no representative survived to anchor assignment)
 // or drift pushed the imbalance past maxImbalance. Returns which path
-// ran, for the Stats counters, and records the outcome in cs.Partition.
+// ran, for the Stats counters.
 func maintainPartition(parent, ep *Epoch, cs *ChangeSet, clusters int, maxImbalance float64) (inc, rec bool) {
 	if ep.Index == parent.Index {
 		return false, false // no-op change set: the partition is already shared
@@ -879,15 +846,13 @@ func maintainPartition(parent, ep *Epoch, cs *ChangeSet, clusters int, maxImbala
 	if pp == nil {
 		return false, false
 	}
-	if np, delta, ok := pp.Apply(ep.Space, cs.Remap, cs.Dirty, cs.Fresh); ok && np.Imbalance() <= maxImbalance {
+	if np, ok := pp.Apply(ep.Space, cs.Remap, cs.Dirty, cs.Fresh); ok && np.Imbalance() <= maxImbalance {
 		ep.Index.SetPartition(np)
-		cs.Partition = delta
 		return true, false
 	}
 	np := partition.Build(ep.Space, clusters)
 	np.Gen = pp.Gen + 1
 	ep.Index.SetPartition(np)
-	cs.Partition = &partition.Delta{Recluster: true}
 	return false, true
 }
 

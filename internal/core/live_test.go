@@ -158,15 +158,10 @@ func TestLiveRecommendBitIdenticalAfterMutations(t *testing.T) {
 		}
 		sameSlate(t, "after mutation batch", live, want)
 	}
-	// Every swap must have run the cache through reconciliation (or a full
-	// invalidation): entries either survive with a proof or drop. The
-	// mutation mix above deterministically exercises both outcomes.
-	st := sh.SearchCache().Stats()
-	if st.ReconcileDrops+st.InvalidationDrops == 0 {
+	// Every swap invalidates the cache, and the mutation mix above always
+	// finds it warm.
+	if st := sh.SearchCache().Stats(); st.InvalidationDrops == 0 {
 		t.Error("epoch swaps never dropped anything from the shared result cache")
-	}
-	if st.Retained == 0 {
-		t.Error("epoch swaps never retained a provably-unaffected cache entry")
 	}
 }
 

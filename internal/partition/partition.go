@@ -53,20 +53,6 @@ type Partition struct {
 	Gen uint64
 }
 
-// Delta summarizes what one maintenance step changed, precisely enough
-// for a result cache to prove a partitioned search unaffected.
-type Delta struct {
-	// Recluster marks a full re-clustering: cluster indices renumbered,
-	// nothing is comparable across it.
-	Recluster bool
-	// Touched lists the clusters whose membership changed (ascending).
-	Touched []int32
-	// Changed lists the touched clusters with an observable difference —
-	// bounds, null attainability, or representative (ascending, subset of
-	// Touched). A sketch or admission decision may differ iff one exists.
-	Changed []int32
-}
-
 // axisInfo is one active clustering axis: a profile dimension with a
 // canonical preference direction.
 type axisInfo struct {
@@ -363,7 +349,7 @@ func (p *Partition) Imbalance() float64 {
 // the parent ids removed or replaced, added lists the child ids of new or
 // replaced rows. ok is false when no valid representative survives to
 // anchor assignment (caller re-clusters from scratch).
-func (p *Partition) Apply(child *feature.Space, remap []int32, dirty, added []int32) (np *Partition, delta *Delta, ok bool) {
+func (p *Partition) Apply(child *feature.Space, remap []int32, dirty, added []int32) (np *Partition, ok bool) {
 	n := child.N()
 	assign := make([]int32, n)
 	for i := range assign {
@@ -411,7 +397,7 @@ func (p *Partition) Apply(child *feature.Space, remap []int32, dirty, added []in
 		anchors = append(anchors, anchor{c: int32(c), coords: cs})
 	}
 	if len(anchors) == 0 && len(added) > 0 {
-		return nil, nil, false
+		return nil, false
 	}
 	buf := make([]float64, len(axes))
 	for _, id := range added {
@@ -434,7 +420,7 @@ func (p *Partition) Apply(child *feature.Space, remap []int32, dirty, added []in
 	}
 	for _, a := range assign {
 		if a < 0 {
-			return nil, nil, false // unreachable with a well-formed change set
+			return nil, false // unreachable with a well-formed change set
 		}
 	}
 	np = &Partition{
@@ -463,35 +449,5 @@ func (p *Partition) Apply(child *feature.Space, remap []int32, dirty, added []in
 	}
 	slices.Sort(touchedList)
 	np.derive(child, touchedList)
-	// A touched cluster observably changed when its bounds, null
-	// attainability, or representative differ. Representative identity is
-	// compared through remap (same item, new number, same values ⇒
-	// unchanged); a dirty representative always reads as changed because
-	// it no longer anchors the cluster above.
-	var changed []int32
-	for _, c := range touchedList {
-		oldRep := p.Reps[c]
-		if oldRep >= 0 && remap != nil {
-			oldRep = remap[oldRep]
-		}
-		if np.Reps[c] != oldRep ||
-			!boundsEqual(p.Mins[c], np.Mins[c]) || !boundsEqual(p.Maxs[c], np.Maxs[c]) ||
-			!slices.Equal(p.AnyNull[c], np.AnyNull[c]) {
-			changed = append(changed, c)
-		}
-	}
-	return np, &Delta{Touched: touchedList, Changed: changed}, true
-}
-
-// boundsEqual compares bound rows bitwise (±Inf sentinels compare equal).
-func boundsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
+	return np, true
 }

@@ -39,6 +39,13 @@ func buildSpace(t testing.TB, n, m int, seed int64, nullable bool) *feature.Spac
 	return sp
 }
 
+// boundsEqual compares bound rows bitwise (±Inf sentinels compare equal).
+func boundsEqual(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	})
+}
+
 // assertDerived checks the partition against the canonical derivation:
 // members, bounds, null attainability and representatives must all be the
 // pure function of (Assign, space) that derive computes.
@@ -172,11 +179,9 @@ func fuzzValue(b byte) float64 {
 // FuzzPartitionDelta drives random mutation batches through Apply and
 // asserts the incrementally maintained partition stays the canonical
 // derivation of its own assignment (the invariant the search layer's
-// soundness rests on: bounds and representatives never go stale), that
-// untouched clusters really are untouched, and that every observable
-// difference lands in Delta.Changed. Input: data[0] sizes the initial
-// catalogue; then 4-byte records [op, id, v0, v1] — op%3: 1 delete, else
-// upsert.
+// soundness rests on: bounds and representatives never go stale) and
+// keeps its Gen. Input: data[0] sizes the initial catalogue; then 4-byte
+// records [op, id, v0, v1] — op%3: 1 delete, else upsert.
 func FuzzPartitionDelta(f *testing.F) {
 	f.Add([]byte("\x06\x00\x03\x04\x05"))
 	f.Add([]byte("\x06\x01\x00\x00\x00\x00\x02\xff\x01"))
@@ -215,8 +220,13 @@ func FuzzPartitionDelta(f *testing.F) {
 			}
 			nsp, nstable := densify(t, shadow, p, maxSize)
 			remap, dirty, added := deltaArgs(stable, nstable, changed)
-			np, delta, ok := part.Apply(nsp, remap, dirty, added)
-			if !ok {
+			np, ok := part.Apply(nsp, remap, dirty, added)
+			if ok {
+				assertDerived(t, nsp, np)
+				if np.Gen != part.Gen {
+					t.Fatalf("incremental Apply changed Gen %d -> %d", part.Gen, np.Gen)
+				}
+			} else {
 				// Apply may only refuse when no representative survives to
 				// anchor added items.
 				anchored := false
@@ -233,43 +243,6 @@ func FuzzPartitionDelta(f *testing.F) {
 					t.Fatalf("Apply refused with surviving anchors (dirty=%v added=%v)", dirty, added)
 				}
 				np = Build(nsp, 3) // re-cluster, as the catalogue would
-				delta = &Delta{Recluster: true}
-			}
-			if delta.Recluster == false {
-				assertDerived(t, nsp, np)
-				if np.Gen != part.Gen {
-					t.Fatalf("incremental Apply changed Gen %d -> %d", part.Gen, np.Gen)
-				}
-				// Untouched clusters must be bitwise untouched (reps
-				// renumbered through remap), and Changed must flag exactly
-				// the touched clusters with an observable difference.
-				touched := map[int32]bool{}
-				for _, c := range delta.Touched {
-					touched[c] = true
-				}
-				chgd := map[int32]bool{}
-				for _, c := range delta.Changed {
-					chgd[c] = true
-					if !touched[c] {
-						t.Fatalf("changed cluster %d not in touched %v", c, delta.Touched)
-					}
-				}
-				for c := 0; c < np.K; c++ {
-					oldRep := part.Reps[c]
-					if oldRep >= 0 {
-						oldRep = remap[oldRep]
-					}
-					same := np.Reps[c] == oldRep &&
-						boundsEqual(np.Mins[c], part.Mins[c]) &&
-						boundsEqual(np.Maxs[c], part.Maxs[c]) &&
-						slices.Equal(np.AnyNull[c], part.AnyNull[c])
-					if !touched[int32(c)] && !same {
-						t.Fatalf("untouched cluster %d drifted", c)
-					}
-					if touched[int32(c)] && same != !chgd[int32(c)] {
-						t.Fatalf("cluster %d: same=%v but changed=%v", c, same, chgd[int32(c)])
-					}
-				}
 			}
 			sp, stable, part = nsp, nstable, np
 			_ = sp

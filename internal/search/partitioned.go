@@ -187,7 +187,7 @@ func (ix *Index) partitionFor(u *feature.Utility, opts Options) *partState {
 
 // topKPartitioned runs the sketch phase and dispatches to the exact or
 // beamed refine.
-func (ix *Index) topKPartitioned(u *feature.Utility, opts Options, ps *partState) (Result, error) {
+func (ix *Index) topKPartitioned(u *feature.Utility, opts Options, ps *partState) Result {
 	sketchOpts := Options{
 		K:         opts.K,
 		ExpandAll: opts.ExpandAll,
@@ -197,10 +197,15 @@ func (ix *Index) topKPartitioned(u *feature.Utility, opts Options, ps *partState
 		DisableDominancePrune: true,
 		DisablePartition:      true,
 	}
-	skRes, err := ps.sketch.topKRun(u, sketchOpts, nil)
-	if err != nil {
-		return Result{}, err
+	sk, ok := ps.sketch.newRun(u, sketchOpts, nil)
+	if !ok {
+		// Every representative is null on every weighted dimension, so the
+		// sketch has no cursors: its degenerate enumeration would score
+		// packages of the whole shared space at 0, which is no real
+		// package's utility and so no floor. Search without the partition.
+		return ix.topKRun(u, opts, nil)
 	}
+	skRes := sk.exec()
 	floorL := negInf
 	if len(skRes.Packages) >= opts.K {
 		floorL = skRes.Packages[opts.K-1].Utility
@@ -220,13 +225,9 @@ func (ix *Index) topKPartitioned(u *feature.Utility, opts Options, ps *partState
 // the utility of a real package, so L ≤ the final k-th utility: nothing
 // that could enter the results — or shift an equal-utility tie-break — is
 // ever skipped, and the outcome is bit-identical to the unpartitioned run.
-// The standard footprint therefore remains sound without partition guards.
-func (ix *Index) refineExact(u *feature.Utility, opts Options, p *partition.Partition, skRes Result, floorL float64) (Result, error) {
+func (ix *Index) refineExact(u *feature.Utility, opts Options, p *partition.Partition, skRes Result, floorL float64) Result {
 	pc := &partCtx{p: p, floorL: floorL}
-	res, err := ix.topKRun(u, opts, pc)
-	if err != nil {
-		return Result{}, err
-	}
+	res := ix.topKRun(u, opts, pc)
 	res.Accessed += skRes.Accessed
 	res.Created += skRes.Created
 	res.SketchSkipped = pc.skipped
@@ -236,14 +237,14 @@ func (ix *Index) refineExact(u *feature.Utility, opts Options, p *partition.Part
 		}
 	}
 	ix.recordPartStats(res)
-	return res, nil
+	return res
 }
 
 // refineBeamed searches a subset index over the clusters that can matter
 // and merges the sketch candidates into the final top-k. Beamed/budgeted
 // runs are best-effort by contract, so the subset selection needs no
 // exactness argument — only determinism (bounds and cluster ids order it).
-func (ix *Index) refineBeamed(u *feature.Utility, opts Options, ps *partState, skRes Result, floorL float64) (Result, error) {
+func (ix *Index) refineBeamed(u *feature.Utility, opts Options, ps *partState, skRes Result, floorL float64) Result {
 	p := ps.p
 	pc := &partCtx{p: p, floorL: floorL}
 	rb, ok := ix.newRun(u, opts, pc)
@@ -290,13 +291,11 @@ func (ix *Index) refineBeamed(u *feature.Utility, opts Options, ps *partState, s
 
 	keep := make([]bool, ix.space.N())
 	subsetSize, openedCount := 0, 0
-	var clusters []int32
 	for c, o := range open {
 		if !o {
 			continue
 		}
 		openedCount++
-		clusters = append(clusters, int32(c))
 		for _, id := range p.Members[c] {
 			keep[id] = true
 			subsetSize++
@@ -309,10 +308,14 @@ func (ix *Index) refineBeamed(u *feature.Utility, opts Options, ps *partState, s
 		// never computes its own skyline.
 		sub.SetHeads(ix.Heads())
 	}
-	refRes, err := sub.topKRun(u, opts, &partCtx{floorL: floorL})
-	if err != nil {
-		return Result{}, err
+	rr, ok := sub.newRun(u, opts, &partCtx{floorL: floorL})
+	if !ok {
+		// The opened clusters are null on every weighted dimension: the
+		// subset's degenerate enumeration would score its packages at 0
+		// rather than by their utility. Search without the partition.
+		return ix.topKRun(u, opts, nil)
 	}
+	refRes := rr.exec()
 	merged := refRes
 	merged.Packages = mergeScored(refRes.Packages, skRes.Packages, opts.K)
 	merged.Accessed += skRes.Accessed
@@ -321,23 +324,8 @@ func (ix *Index) refineBeamed(u *feature.Utility, opts Options, ps *partState, s
 	merged.DomPruned += skRes.DomPruned
 	merged.SketchSkipped = ix.space.N() - subsetSize
 	merged.RefineClustersOpened = openedCount
-	if refRes.FP != nil && skRes.FP != nil {
-		// A beamed partitioned result depends on the partition (cluster
-		// bounds order admission, representatives seed the sketch): record
-		// the opened clusters and the representative reads so Reconcile
-		// can drop the entry when either could have shifted.
-		fp := merged.FP
-		fp.Accessed = unionSorted(fp.Accessed, skRes.FP.Accessed)
-		fp.Clusters = clusters
-		fp.Admission = negInf
-		if len(merged.Packages) >= opts.K {
-			fp.Admission = merged.Packages[opts.K-1].Utility
-		}
-	} else {
-		merged.FP = nil
-	}
 	ix.recordPartStats(merged)
-	return merged, nil
+	return merged
 }
 
 func (ix *Index) recordPartStats(res Result) {
@@ -485,31 +473,5 @@ func mergeScored(a, b []pkgspace.Scored, k int) []pkgspace.Scored {
 	if len(out) > k {
 		out = out[:k]
 	}
-	return out
-}
-
-// unionSorted merges two ascending id slices without duplicates, reusing
-// a's storage when possible.
-func unionSorted(a, b []int32) []int32 {
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]int32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i, j = i+1, j+1
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
 	return out
 }

@@ -3,6 +3,7 @@ package search
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -548,4 +549,81 @@ func TestMaxAccessedBudget(t *testing.T) {
 			t.Errorf("package %s reported %g, true %g", sc.Pkg, sc.Utility, truth)
 		}
 	}
+}
+
+// TestRecycledStatesAcrossPlans: package states and shells recycled
+// between runs on one index (see seenSet) carry the previous run's
+// aggregates, possibly under a different score plan. Every run must still
+// match a run on a fresh index, whether the runs follow each other or
+// share the index from several goroutines at once.
+func TestRecycledStatesAcrossPlans(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	items := make([]feature.Item, 300)
+	for i := range items {
+		vals := make([]float64, 5)
+		for j := range vals {
+			vals[j] = pruneValue(rng, true)
+		}
+		items[i] = feature.Item{ID: i, Values: vals}
+	}
+	p := feature.SimpleProfile(feature.AggSum, feature.AggAvg, feature.AggMax, feature.AggMin, feature.AggNull)
+	sp, err := feature.NewSpace(items, p, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Weight vectors zero different dimensions, so consecutive runs use
+	// different score plans.
+	ws := [][]float64{
+		{1, 0, 0, 0, 0}, {0, 0.7, 0, -0.4, 0}, {0.3, 0, 0.9, 0, 0.2},
+		{0, 0, 0, -1, 0}, {0.5, 0.5, 0.5, -0.5, 0}, {-0.2, 0, 0.8, 0, 0},
+	}
+	opts := []Options{{K: 5}, {K: 8, MaxQueue: 16}, {K: 3, ExpandAll: true}}
+	type job struct {
+		u    *feature.Utility
+		opts Options
+		want Result
+	}
+	var jobs []job
+	for _, w := range ws {
+		u := mustUtility(t, sp, w...)
+		for _, o := range opts {
+			want, err := NewIndex(sp).TopK(u, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, job{u, o, want})
+		}
+	}
+	ix := NewIndex(sp)
+	for round := 0; round < 3; round++ {
+		for _, j := range jobs {
+			got, err := ix.TopK(j.u, j.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !assertSameResult(t, got, j.want, "serial") {
+				t.Fatalf("round %d: recycled run diverges from a fresh index (w=%v opts=%+v)", round, j.u.W, j.opts)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range jobs {
+				j := jobs[(i+g*5)%len(jobs)]
+				got, err := ix.TopK(j.u, j.opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !assertSameResult(t, got, j.want, "concurrent") {
+					t.Errorf("concurrent recycled run diverges from a fresh index (w=%v opts=%+v)", j.u.W, j.opts)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
